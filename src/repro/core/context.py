@@ -2,16 +2,18 @@
 
 ``pw.ibm_cf_executor()`` works both on the client *and inside a running
 cloud function* (that is how §4.4's dynamic composition works: any function
-may spin up an executor and fan out).  The binding between the calling
-thread and its cloud environment is kept here: ``CloudEnvironment.run``
-registers the client thread, and the runner worker registers each function
-execution thread with ``in_cloud=True`` so nested executors get in-cloud
-network links automatically.
+may spin up an executor and fan out).  The binding between the running code
+and its cloud environment is kept here, in a context variable:
+``CloudEnvironment.run`` pushes the client's binding, and the runner worker
+pushes one with ``in_cloud=True`` around each function execution so nested
+executors get in-cloud network links automatically.  Every kernel task
+starts in a copy of its spawner's context, so a task spawned under a
+binding inherits it, and bindings the task pushes stay its own.
 """
 
 from __future__ import annotations
 
-import threading
+import contextvars
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -20,7 +22,7 @@ from repro.core.errors import NoActiveEnvironmentError
 
 @dataclass(frozen=True)
 class AmbientContext:
-    """What the current thread knows about 'its' cloud.
+    """What the running code knows about 'its' cloud.
 
     ``call_info`` is populated only inside a running function executor: the
     invocation params (executor/callset/call ids, storage location), which
@@ -35,8 +37,11 @@ class AmbientContext:
     execution_context: Any = None
 
 
-_ACTIVE: dict[int, list[AmbientContext]] = {}
-_LOCK = threading.Lock()
+# innermost binding last; a tuple, so a task's copy of its spawner's
+# context never shares a mutable stack with it
+_STACK: contextvars.ContextVar[tuple[AmbientContext, ...]] = contextvars.ContextVar(
+    "repro_ambient_stack", default=()
+)
 
 
 def push_context(
@@ -46,26 +51,19 @@ def push_context(
     execution_context: Any = None,
 ) -> None:
     ctx = AmbientContext(environment, in_cloud, call_info, execution_context)
-    ident = threading.get_ident()
-    with _LOCK:
-        _ACTIVE.setdefault(ident, []).append(ctx)
+    _STACK.set(_STACK.get() + (ctx,))
 
 
 def pop_context() -> None:
-    ident = threading.get_ident()
-    with _LOCK:
-        stack = _ACTIVE.get(ident)
-        if not stack:
-            raise RuntimeError("pop_context() with no pushed context")
-        stack.pop()
-        if not stack:
-            del _ACTIVE[ident]
+    stack = _STACK.get()
+    if not stack:
+        raise RuntimeError("pop_context() with no pushed context")
+    _STACK.set(stack[:-1])
 
 
 def current_context() -> Optional[AmbientContext]:
-    with _LOCK:
-        stack = _ACTIVE.get(threading.get_ident())
-        return stack[-1] if stack else None
+    stack = _STACK.get()
+    return stack[-1] if stack else None
 
 
 def require_context() -> AmbientContext:
@@ -76,37 +74,3 @@ def require_context() -> AmbientContext:
             "through CloudEnvironment.run() or pass environment= explicitly"
         )
     return ctx
-
-
-# ---------------------------------------------------------------------------
-# Propagation into spawned kernel tasks: a task spawned from a thread with
-# an active environment inherits it (so client code may fan out its own
-# kernel tasks and still call ibm_cf_executor() inside them).
-# ---------------------------------------------------------------------------
-def _capture_stack() -> list[AmbientContext]:
-    with _LOCK:
-        return list(_ACTIVE.get(threading.get_ident(), []))
-
-
-def _install_stack(stack: list[AmbientContext]) -> None:
-    if not stack:
-        return
-    ident = threading.get_ident()
-    with _LOCK:
-        _ACTIVE.setdefault(ident, []).extend(stack)
-
-
-def _uninstall_stack(stack: list[AmbientContext]) -> None:
-    if not stack:
-        return
-    ident = threading.get_ident()
-    with _LOCK:
-        current = _ACTIVE.get(ident, [])
-        del current[len(current) - len(stack):]
-        if not current:
-            _ACTIVE.pop(ident, None)
-
-
-from repro.vtime.kernel import register_context_propagator  # noqa: E402
-
-register_context_propagator(_capture_stack, _install_stack, _uninstall_stack)

@@ -134,6 +134,14 @@ class FailureReport:
 class ResponseFuture:
     """Handle for one function executor's eventual result."""
 
+    # Class-level defaults, not ``__init__`` assignments: a pickled future's
+    # ``__dict__`` carries these only once code sets them, so payload sizes
+    # (which feed the bandwidth model) stay as they were.
+    #: a status object is known to exist but has not been read yet
+    _status_seen = False
+    #: the retry budget ran out and a synthetic ``lost`` status was written
+    _exhausted = False
+
     def __init__(
         self,
         executor_id: str,
@@ -200,6 +208,11 @@ class ResponseFuture:
         if activation_id is not None:
             self.activation_id = activation_id
 
+    @property
+    def settled(self) -> bool:
+        """Whether this call's status is known to exist (read or not)."""
+        return self._status is not None or self._status_seen
+
     def mark_done(self) -> None:
         """Record that a status object exists without fetching it yet.
 
@@ -209,7 +222,7 @@ class ResponseFuture:
 
     def done(self) -> bool:
         """One status check (no blocking)."""
-        if self._status is not None or getattr(self, "_status_seen", False):
+        if self.settled:
             return True
         status = self._require_storage().get_status(
             self.executor_id, self.callset_id, self.call_id

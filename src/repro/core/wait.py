@@ -30,7 +30,7 @@ def _poll_round(
     """Mark futures whose status objects now exist (one LIST per callset)."""
     pending_by_callset: dict[tuple[str, str], list[ResponseFuture]] = {}
     for future in futures:
-        if not _is_done(future):
+        if not future.settled:
             key = (future.executor_id, future.callset_id)
             pending_by_callset.setdefault(key, []).append(future)
     for (executor_id, callset_id), group in pending_by_callset.items():
@@ -38,10 +38,6 @@ def _poll_round(
         for future in group:
             if future.call_id in done_ids:
                 future.mark_done()
-
-
-def _is_done(future: ResponseFuture) -> bool:
-    return future._status is not None or getattr(future, "_status_seen", False)
 
 
 def wait(
@@ -88,8 +84,8 @@ def wait(
         _poll_round(futures, storage)
         if on_round is not None:
             on_round(futures)
-        done = [f for f in futures if _is_done(f)]
-        not_done = [f for f in futures if not _is_done(f)]
+        done = [f for f in futures if f.settled]
+        not_done = [f for f in futures if not f.settled]
         if on_progress is not None:
             on_progress(len(done), len(futures))
         if return_when == ALWAYS:

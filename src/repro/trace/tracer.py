@@ -4,43 +4,28 @@ One tracer per :class:`~repro.core.environment.CloudEnvironment`; every
 layer holds a reference and guards emission with ``tracer is not None and
 tracer.enabled`` so a disabled spine costs two attribute loads per site.
 
-Causal ids flow *ambiently*: :meth:`Tracer.bind` pushes an id mapping onto
-a thread-local stack that the virtual-time kernel propagates into spawned
-tasks (the same mechanism ``repro.core.context`` uses), so a COS request
-issued deep inside a running cloud function is automatically stamped with
-the job/call/activation ids the controller bound around the handler.
+Causal ids flow *ambiently*: :meth:`Tracer.bind` sets an id mapping in a
+context variable, and every virtual-time kernel task starts in a copy of
+its spawner's context (the same mechanism ``repro.core.context`` uses), so
+a COS request issued deep inside a running cloud function is automatically
+stamped with the job/call/activation ids the controller bound around the
+handler.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import threading
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 from repro.trace import events as ev
-from repro.vtime.kernel import Kernel, register_context_propagator
+from repro.vtime.kernel import Kernel
 
-# Thread-local ambient ids, propagated into kernel tasks at spawn.
-_BOUND = threading.local()
-
-
-def _current_ids() -> Optional[dict[str, Any]]:
-    return getattr(_BOUND, "ids", None)
-
-
-def _capture_ids() -> Optional[dict[str, Any]]:
-    return _current_ids()
-
-
-def _install_ids(token: Optional[dict[str, Any]]) -> None:
-    _BOUND.ids = dict(token) if token else None
-
-
-def _uninstall_ids(_token: Optional[dict[str, Any]]) -> None:
-    _BOUND.ids = None
-
-
-register_context_propagator(_capture_ids, _install_ids, _uninstall_ids)
+# Ambient ids of the running task; never mutated in place, only replaced.
+_IDS: contextvars.ContextVar[Optional[dict[str, Any]]] = contextvars.ContextVar(
+    "repro_trace_ids", default=None
+)
 
 
 class Tracer:
@@ -58,7 +43,7 @@ class Tracer:
     # Emission
     # ------------------------------------------------------------------
     def _merged_ids(self, ids: Optional[Mapping[str, Any]]) -> dict[str, Any]:
-        ambient = _current_ids()
+        ambient = _IDS.get()
         if ambient and ids:
             return {**ambient, **ids}
         if ambient:
@@ -124,12 +109,12 @@ class Tracer:
         if not self.enabled or not ids:
             yield
             return
-        previous = _current_ids()
-        _BOUND.ids = {**previous, **ids} if previous else dict(ids)
+        previous = _IDS.get()
+        token = _IDS.set({**previous, **ids} if previous else dict(ids))
         try:
             yield
         finally:
-            _BOUND.ids = previous
+            _IDS.reset(token)
 
     # ------------------------------------------------------------------
     # Consumption

@@ -33,15 +33,17 @@ blocked/running accounting:
 The same "steps" generator can serve both worlds: a thread task runs it to
 completion with :meth:`Kernel.drive` (blocking at each op), while a model
 task delegates with ``yield from``.  Ambient context (trace ids, the active
-cloud environment) propagates identically into both kinds: thread tasks
-install captured tokens once around their function; model tasks install
-them around every step and re-capture afterwards, so bindings held across a
-yield survive interleaving with other model tasks.
+cloud environment) is kept in :mod:`contextvars` and propagates identically
+into both kinds: every task starts in a copy of its spawner's context.  A
+thread task runs its function inside that copy; a model task owns its copy
+and runs every step inside it, so bindings held across a yield survive
+interleaving with other model tasks.
 """
 
 from __future__ import annotations
 
 import collections
+import contextvars
 import heapq
 import itertools
 import threading
@@ -70,12 +72,12 @@ __all__ = [
     "live_kernels",
 ]
 
-# Maps OS thread ident -> task, for every live kernel task in the process.
-# Keyed globally (not per kernel) so ambient helpers like ``repro.sleep``
-# can find the kernel owning the calling thread.  While the model loop steps
-# a model task, the loop thread's ident maps to that task.
-_THREAD_TASKS: dict[int, Any] = {}
-_THREAD_TASKS_LOCK = threading.Lock()
+# The kernel task whose code is running, set inside every task's context.
+# Process-global (not per kernel) so ambient helpers like ``repro.sleep``
+# can find the kernel owning the caller.
+_CURRENT_TASK: contextvars.ContextVar[Optional[Any]] = contextvars.ContextVar(
+    "repro_vtime_current_task", default=None
+)
 
 # Every kernel constructed in this process (weakly referenced): the test
 # suite's thread-hygiene fixture uses this to shut down kernels a test
@@ -84,9 +86,8 @@ _LIVE_KERNELS: "weakref.WeakSet[Kernel]" = weakref.WeakSet()
 
 
 def current_task() -> Optional[Any]:
-    """Return the kernel task running on this thread, or ``None``."""
-    with _THREAD_TASKS_LOCK:
-        return _THREAD_TASKS.get(threading.get_ident())
+    """Return the kernel task running the caller, or ``None``."""
+    return _CURRENT_TASK.get()
 
 
 def current_kernel() -> Optional["Kernel"]:
@@ -100,30 +101,11 @@ def live_kernels() -> list["Kernel"]:
     return list(_LIVE_KERNELS)
 
 
-# Ambient-context propagation: higher layers (e.g. repro.core.context)
-# register capture/install/uninstall hooks so state bound to the *spawning*
-# thread follows into spawned tasks — the way contextvars follow asyncio
-# tasks.  Each propagator is (capture() -> token, install(token),
-# uninstall(token)).  Propagators must restore a pristine (empty) thread
-# state when ``uninstall`` is handed the token ``capture`` just returned —
-# the model loop relies on that to context-switch between tasks per step.
-_CONTEXT_PROPAGATORS: list[tuple[Callable[[], Any], Callable[[Any], None], Callable[[Any], None]]] = []
-
-
-def register_context_propagator(
-    capture: Callable[[], Any],
-    install: Callable[[Any], None],
-    uninstall: Callable[[Any], None],
-) -> None:
-    """Register a thread-context propagator applied around every task."""
-    _CONTEXT_PROPAGATORS.append((capture, install, uninstall))
-
-
-def _capture_context() -> list[tuple[Callable[[Any], None], Callable[[Any], None], Any]]:
-    return [
-        (install, uninstall, capture())
-        for capture, install, uninstall in _CONTEXT_PROPAGATORS
-    ]
+def _task_context(task: Any) -> contextvars.Context:
+    """A copy of the caller's context in which ``task`` is the current task."""
+    ctx = contextvars.copy_context()
+    ctx.run(_CURRENT_TASK.set, task)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +190,12 @@ class Task:
         self.task_id = task_id
         self.daemon = False
         self._state = Task._RUNNING
-        self._wake = threading.Event()
+        # A binary semaphore, held while the task runs: blocking acquires
+        # it, waking releases it.  Every wake first switches the task from
+        # BLOCKED to RUNNING, so there is one release per block; a second
+        # release would raise instead of being lost.
+        self._wake = threading.Lock()
+        self._wake.acquire()
         self._wake_exc: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
         self._outcome_ready = threading.Event()
@@ -274,9 +261,8 @@ class ModelTask:
         self._gen: Optional[Generator[Any, Any, Any]] = None
         self._pending_exc: Optional[BaseException] = None
         self._resume_value_fn: Optional[Callable[[], Any]] = None
-        # ambient-context tokens, re-captured after every step:
-        # [(capture, install, uninstall, token), ...]
-        self._tokens: list[tuple] = []
+        # the context every step runs in (dropped when the task finishes)
+        self._ctx: Optional[contextvars.Context] = None
         self._outcome_ready = threading.Event()
         self._result: Any = None
         self._exception: Optional[BaseException] = None
@@ -343,7 +329,7 @@ class _PoolWorker:
     def __init__(self) -> None:
         self.thread: Optional[threading.Thread] = None
         self.ready = threading.Event()
-        # (task, fn, args, kwargs, tokens) while assigned; None = stop signal
+        # (task, ctx, fn, args, kwargs) while assigned; None = stop signal
         self.job: Optional[tuple] = None
 
 
@@ -462,9 +448,7 @@ class Kernel:
             if worker is not None:
                 self._threads_recycled += 1
 
-        # capture the spawning thread's ambient context for the child
-        tokens = _capture_context()
-        job = (task, fn, args, kwargs, tokens)
+        job = (task, _task_context(task), fn, args, kwargs)
         if worker is None:
             self._start_worker(job)
         else:
@@ -505,8 +489,7 @@ class Kernel:
             job, worker.job = worker.job, None
             if job is None:  # stop signal from shutdown
                 break
-            task, fn, args, kwargs, tokens = job
-            self._run_task_on_thread(task, fn, args, kwargs, tokens)
+            self._run_task_on_thread(*job)
             with self._lock:
                 if self._dead or len(self._pool_idle) >= self._pool_size:
                     break
@@ -516,27 +499,18 @@ class Kernel:
             self._live_worker_threads -= 1
 
     def _run_task_on_thread(
-        self, task: Task, fn: Callable[..., Any], args: tuple, kwargs: dict, tokens: list
+        self,
+        task: Task,
+        ctx: contextvars.Context,
+        fn: Callable[..., Any],
+        args: tuple,
+        kwargs: dict,
     ) -> None:
-        ident = threading.get_ident()
-        with _THREAD_TASKS_LOCK:
-            _THREAD_TASKS[ident] = task
-        installed: list[tuple[Callable[[Any], None], Any]] = []
         try:
-            for install, uninstall, token in tokens:
-                install(token)
-                installed.append((uninstall, token))
-            task._result = fn(*args, **kwargs)
+            task._result = ctx.run(fn, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised at join
             task._exception = exc
         finally:
-            for uninstall, token in reversed(installed):
-                try:
-                    uninstall(token)
-                except Exception:  # pragma: no cover - cleanup best effort
-                    pass
-            with _THREAD_TASKS_LOCK:
-                _THREAD_TASKS.pop(ident, None)
             self._finish_task(task)
 
     # ------------------------------------------------------------------
@@ -562,17 +536,13 @@ class Kernel:
                 f"spawn_model() needs a generator function; {fn!r} returned "
                 f"{type(gen).__name__}"
             )
-        tokens = [
-            (capture, install, uninstall, capture())
-            for capture, install, uninstall in _CONTEXT_PROPAGATORS
-        ]
         with self._lock:
             if self._dead:
                 raise KernelShutdownError("kernel has been shut down")
             task = ModelTask(self, name or fn.__name__, next(self._task_ids))
             task.daemon = daemon
             task._gen = gen
-            task._tokens = tokens
+            task._ctx = _task_context(task)
             self._tasks[task.task_id] = task
             self._running += 1
             self._spawned_total += 1
@@ -623,48 +593,29 @@ class Kernel:
                     return
 
     def _step_model(self, task: ModelTask) -> None:
-        """Run one step of ``task`` on the loop thread.
+        """Run one step of ``task`` on the loop thread, in the task's context.
 
-        The task's ambient-context tokens are installed before the step and
-        re-captured afterwards, so context mutated *during* the step (e.g. a
-        ``tracer.bind`` held across a yield) follows the task, not the loop
-        thread.  This relies on propagators restoring pristine thread state
-        when uninstalled with their own freshly captured token.
+        Context variables set during the step (e.g. a ``tracer.bind`` held
+        across a yield) stay in the task's own context, not the loop
+        thread's, and are back in place when the task next steps.
         """
-        ident = threading.get_ident()
-        with _THREAD_TASKS_LOCK:
-            _THREAD_TASKS[ident] = task
-        for _capture, install, _uninstall, token in task._tokens:
-            install(token)
         op: Any = None
         finished = False
         try:
             if task._pending_exc is not None:
                 exc, task._pending_exc = task._pending_exc, None
-                op = task._gen.throw(exc)
+                op = task._ctx.run(task._gen.throw, exc)
             else:
                 fn = task._resume_value_fn
                 task._resume_value_fn = None
-                op = task._gen.send(fn() if fn is not None else None)
+                value = fn() if fn is not None else None
+                op = task._ctx.run(task._gen.send, value)
         except StopIteration as stop:
             task._result = stop.value
             finished = True
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised at join
             task._exception = exc
             finished = True
-        finally:
-            new_tokens = [
-                (capture, install, uninstall, capture())
-                for capture, install, uninstall, _old in task._tokens
-            ]
-            for _capture, _install, uninstall, token in reversed(new_tokens):
-                try:
-                    uninstall(token)
-                except Exception:  # pragma: no cover - cleanup best effort
-                    pass
-            task._tokens = new_tokens
-            with _THREAD_TASKS_LOCK:
-                _THREAD_TASKS.pop(ident, None)
         if finished:
             self._finish_model(task)
         else:
@@ -745,7 +696,10 @@ class Kernel:
                 self._consume_waiter(waiter)
             if self._running == 0:
                 self._advance_locked()
+        # the context holds the task as its current task: drop it, or every
+        # finished task stays in a reference cycle until the collector runs
         task._gen = None
+        task._ctx = None
         task._outcome_ready.set()
 
     # ------------------------------------------------------------------
@@ -842,7 +796,7 @@ class Kernel:
             if timeout is not None:
                 self._add_timer_locked(self._now + timeout, waiter)
             self._block_current_locked(waiter.task)
-        waiter.task._wake.wait()
+        waiter.task._wake.acquire()
         self._post_wake(waiter.task)
         return not waiter.timed_out
 
@@ -870,7 +824,7 @@ class Kernel:
                     self._enqueue_model_locked(task)
                 else:
                     task._wake_exc = exc
-                    task._wake.set()
+                    task._wake.release()
             remaining = list(self._tasks.values())
         for task in remaining:
             task._outcome_ready.wait(timeout=5.0)
@@ -908,7 +862,7 @@ class Kernel:
             waiter = Waiter(task)
             self._add_timer_locked(self._now + max(0.0, float(duration)), waiter)
             self._block_current_locked(task)
-        task._wake.wait()
+        task._wake.acquire()
         self._post_wake(task)
 
     def _make_waiter(self) -> Waiter:
@@ -935,10 +889,9 @@ class Kernel:
     def _block_current_locked(self, task: Task) -> None:
         """Mark the calling task blocked; advance time if it was the last runner.
 
-        Caller holds the kernel lock, and must wait on ``task._wake`` (outside
-        the lock) immediately after this returns.
+        Caller holds the kernel lock, and must acquire ``task._wake``
+        (outside the lock) immediately after this returns.
         """
-        task._wake.clear()
         task._state = Task._BLOCKED
         self._running -= 1
         if self._running == 0:
@@ -964,7 +917,7 @@ class Kernel:
             if timeout is not None:
                 self._add_timer_locked(self._now + max(0.0, timeout), waiter)
             self._block_current_locked(task)
-        task._wake.wait()
+        task._wake.acquire()
         self._post_wake(task)
 
     def wake(self, waiter: Waiter, payload: Any = None) -> bool:
@@ -989,7 +942,7 @@ class Kernel:
             if isinstance(task, ModelTask):
                 self._enqueue_model_locked(task)
             else:
-                task._wake.set()
+                task._wake.release()
         return True
 
     def _post_wake(self, task: Task) -> None:
@@ -1034,4 +987,4 @@ class Kernel:
                 self._enqueue_model_locked(task)
             else:
                 task._wake_exc = exc
-                task._wake.set()
+                task._wake.release()

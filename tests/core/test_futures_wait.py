@@ -157,6 +157,17 @@ class TestResponseFuture:
         assert restored.call_id == "00001"
         assert restored.metadata == {"k": "v"}
 
+    def test_settled_flags_stay_out_of_the_pickled_state_until_set(self):
+        # payload byte counts feed the bandwidth model: a fresh future must
+        # pickle exactly the fields it always did
+        future = ResponseFuture("e", "c", "00002")
+        assert not future.settled
+        assert "_status_seen" not in future.__getstate__()
+        assert "_exhausted" not in future.__getstate__()
+        future.mark_done()
+        assert future.settled
+        assert pickle.loads(pickle.dumps(future)).settled
+
     def test_status_contains_worker_fields(self, kernel, storage):
         def main():
             future = make_future(storage)

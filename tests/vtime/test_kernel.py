@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from repro.vtime import (
     Kernel,
     NotInKernelError,
     VEvent,
+    VQueue,
     current_kernel,
     current_task,
     gather,
@@ -273,3 +275,37 @@ class TestDeterminism:
 
         kernel.run(main)
         assert order == list(range(10))
+
+
+class TestWakeStress:
+    def test_every_block_gets_exactly_one_wake(self):
+        """Thread tasks block and are woken thousands of times, by timers and
+        by each other, with thread switches forced every few bytecodes.  A
+        lost wake hangs the run; a doubled one raises from ``Lock.release``."""
+        kernel = Kernel(pool_size=4)
+        queues = [VQueue(kernel) for _ in range(12)]
+
+        def relay(i):
+            for round_ in range(100):
+                sleep((i * 7 + round_) % 5 * 0.1)
+                queues[(i + 1) % len(queues)].put(round_)
+                queues[i].get()
+            return i
+
+        result = {}
+
+        def drive():
+            result["value"] = kernel.run(
+                lambda: gather([kernel.spawn(relay, i) for i in range(len(queues))])
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = threading.Thread(target=drive)
+            driver.start()
+            driver.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive(), "a thread task was never woken"
+        assert result["value"] == list(range(len(queues)))
