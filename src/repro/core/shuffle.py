@@ -50,10 +50,20 @@ def stable_key_hash(key: Any) -> int:
 
 
 def partition_pairs(pairs: Iterable[Pair], n_reducers: int) -> list[list[Pair]]:
-    """Split emitted pairs into ``n_reducers`` buckets by key hash."""
+    """Split emitted pairs into ``n_reducers`` buckets by key hash.
+
+    Each distinct key is hashed once per call.  The memo is keyed by the
+    key's ``repr``, the hash's input, not by the key itself: ``1``, ``1.0``
+    and ``True`` are equal dict keys but hash to different reducers.
+    """
     buckets: list[list[Pair]] = [[] for _ in range(n_reducers)]
+    reducer_of: dict[str, int] = {}
     for key, value in pairs:
-        buckets[stable_key_hash(key) % n_reducers].append((key, value))
+        text = repr(key)
+        index = reducer_of.get(text)
+        if index is None:
+            index = reducer_of[text] = stable_key_hash(key) % n_reducers
+        buckets[index].append((key, value))
     return buckets
 
 

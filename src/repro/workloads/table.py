@@ -56,6 +56,10 @@ _NIGHTS_RANGE = (1, 30)
 #: widest city name must fit the fixed-width city field
 _CITY_WIDTH = 13
 
+#: the fixed-width row layout, filled from ``(id, day, city, price, stars,
+#: nights)`` with ``city`` as ASCII bytes
+_ROW_TEMPLATE = b"%%08d,%%03d,%%-%ds,%%03d,%%d,%%02d\n" % _CITY_WIDTH
+
 
 @dataclass(frozen=True)
 class TableInfo:
@@ -73,12 +77,14 @@ class TableInfo:
 
 def format_row(values: dict) -> bytes:
     """Fixed-width CSV encoding of one row (exactly ``ROW_BYTES`` bytes)."""
-    line = (
-        f"{values['id']:08d},{values['day']:03d},"
-        f"{values['city']:<{_CITY_WIDTH}s},{values['price']:03d},"
-        f"{values['stars']:d},{values['nights']:02d}\n"
+    encoded = _ROW_TEMPLATE % (
+        values["id"],
+        values["day"],
+        values["city"].encode("ascii"),
+        values["price"],
+        values["stars"],
+        values["nights"],
     )
-    encoded = line.encode("ascii")
     if len(encoded) != ROW_BYTES:
         raise ValueError(f"row {values!r} encodes to {len(encoded)} bytes")
     return encoded
@@ -112,59 +118,121 @@ def parse_rows(data: bytes) -> list[dict]:
     return rows
 
 
+def _draw_spec(bounds: tuple[int, int]) -> tuple[int, int, int]:
+    """``(lo, n, k)`` such that ``randint(*bounds)`` is ``lo`` plus the first
+    ``getrandbits(k)`` draw below ``n`` (``Random._randbelow``)."""
+    lo, hi = bounds
+    n = hi - lo + 1
+    return lo, n, n.bit_length()
+
+
+_PRICE_DRAW = _draw_spec(_PRICE_RANGE)
+_STARS_DRAW = _draw_spec(_STARS_RANGE)
+_NIGHTS_DRAW = _draw_spec(_NIGHTS_RANGE)
+
+
+def _group_values(
+    city: str, group: int, object_rows: int, rows_per_group: int
+) -> list[tuple[int, int, int, int, int]]:
+    """The ``(id, day, price, stars, nights)`` of one zone-map group, one
+    tuple per row in :data:`NUMERIC_COLUMNS` order.
+
+    The single source of the table's values: content bytes, zone maps and
+    :func:`group_rows` all come from here.  Each row makes the draws of
+    ``rng.randint`` on the three ranges, in order, through ``getrandbits``
+    with the same rejection loop, so the stream is the ``randint`` one.
+    """
+    first = group * rows_per_group
+    last = min(object_rows, first + rows_per_group)
+    digest = hashlib.sha256(f"listings:{city}:{group}".encode()).digest()
+    bits = random.Random(digest).getrandbits
+    price_lo, price_n, price_k = _PRICE_DRAW
+    stars_lo, stars_n, stars_k = _STARS_DRAW
+    nights_lo, nights_n, nights_k = _NIGHTS_DRAW
+    per_day = max(1, object_rows)
+    values = []
+    for rid in range(first, last):
+        price = bits(price_k)
+        while price >= price_n:
+            price = bits(price_k)
+        stars = bits(stars_k)
+        while stars >= stars_n:
+            stars = bits(stars_k)
+        nights = bits(nights_k)
+        while nights >= nights_n:
+            nights = bits(nights_k)
+        values.append(
+            (
+                rid,
+                # date-ordered: monotone non-decreasing over the object
+                rid * DAYS // per_day,
+                price_lo + price,
+                stars_lo + stars,
+                nights_lo + nights,
+            )
+        )
+    return values
+
+
 def group_rows(
     city: str, group: int, object_rows: int, rows_per_group: int
 ) -> list[dict]:
     """The rows of one zone-map group, generated deterministically.
 
-    Shared by the content generator and the zone-map computation, so the
-    manifest's statistics are exact for the bytes a scan will read.
+    The same values as the content generator and the zone-map
+    computation, so the manifest's statistics are exact for the bytes a
+    scan will read.
     """
-    first = group * rows_per_group
-    last = min(object_rows, first + rows_per_group)
-    digest = hashlib.sha256(f"listings:{city}:{group}".encode()).digest()
-    rng = random.Random(digest)
-    rows = []
-    for rid in range(first, last):
-        rows.append(
-            {
-                "id": rid,
-                # date-ordered: monotone non-decreasing over the object
-                "day": rid * DAYS // max(1, object_rows),
-                "city": city,
-                "price": rng.randint(*_PRICE_RANGE),
-                "stars": rng.randint(*_STARS_RANGE),
-                "nights": rng.randint(*_NIGHTS_RANGE),
-            }
+    return [
+        {
+            "id": rid,
+            "day": day,
+            "city": city,
+            "price": price,
+            "stars": stars,
+            "nights": nights,
+        }
+        for rid, day, price, stars, nights in _group_values(
+            city, group, object_rows, rows_per_group
         )
-    return rows
+    ]
 
 
-def _group_stats(rows: list[dict]) -> dict:
-    stats: dict[str, dict] = {"min": {}, "max": {}}
-    for col in NUMERIC_COLUMNS + ("city",):
-        values = [row[col] for row in rows]
-        stats["min"][col] = min(values)
-        stats["max"][col] = max(values)
-    return stats
+def _group_stats(city: str, values: list[tuple]) -> dict:
+    """Zone-map ``min``/``max`` of every column over one group's values."""
+    columns = dict(zip(NUMERIC_COLUMNS, zip(*values)))
+    return {
+        "min": {**{col: min(v) for col, v in columns.items()}, "city": city},
+        "max": {**{col: max(v) for col, v in columns.items()}, "city": city},
+    }
 
 
 def make_table_content_fn(city: str, object_rows: int, rows_per_group: int):
     """Deterministic byte-range generator for one table object."""
     group_bytes = rows_per_group * ROW_BYTES
+    city_bytes = city.encode("ascii")
+
+    def group_content(group: int) -> bytes:
+        values = _group_values(city, group, object_rows, rows_per_group)
+        blob = b"".join(
+            [
+                _ROW_TEMPLATE % (rid, day, city_bytes, price, stars, nights)
+                for rid, day, price, stars, nights in values
+            ]
+        )
+        if len(blob) != len(values) * ROW_BYTES:
+            raise ValueError(
+                f"group {group} of {city!r} does not encode to "
+                f"{ROW_BYTES}-byte rows"
+            )
+        return blob
 
     def content_fn(start: int, end: int) -> bytes:
         if end <= start:
             return b""
         first = start // group_bytes
         last = (end - 1) // group_bytes
-        blob = b"".join(
-            b"".join(
-                format_row(row)
-                for row in group_rows(city, g, object_rows, rows_per_group)
-            )
-            for g in range(first, last + 1)
-        )
+        blob = b"".join(group_content(g) for g in range(first, last + 1))
         offset = start - first * group_bytes
         return blob[offset : offset + (end - start)]
 
@@ -214,14 +282,14 @@ def load_table(
         groups = []
         n_groups = -(-object_rows // rows_per_group)
         for g in range(n_groups):
-            rows = group_rows(city, g, object_rows, rows_per_group)
+            values = _group_values(city, g, object_rows, rows_per_group)
             start = g * rows_per_group * ROW_BYTES
             groups.append(
                 {
                     "start": start,
-                    "end": start + len(rows) * ROW_BYTES,
-                    "rows": len(rows),
-                    **_group_stats(rows),
+                    "end": start + len(values) * ROW_BYTES,
+                    "rows": len(values),
+                    **_group_stats(city, values),
                 }
             )
         manifest["objects"][key] = {

@@ -33,6 +33,21 @@ class TestPartitioning:
                 location.setdefault(key, set()).add(index)
         assert all(len(spots) == 1 for spots in location.values())
 
+    @pytest.mark.parametrize("n_reducers", [2, 3, 5, 7, 16])
+    def test_equal_keys_with_different_reprs_keep_their_own_reducer(
+        self, n_reducers
+    ):
+        """``1 == 1.0 == True`` and ``0.0 == -0.0``, but their reprs differ,
+        so each must land where its own hash says, in any emission order."""
+        scalars = [1, 1.0, True, 0, 0.0, -0.0, False]
+        keys = scalars + [(k,) for k in scalars] + [(0.0, -0.0), (-0.0, 0.0)]
+        pairs = [(k, i) for i, k in enumerate(keys + keys[::-1])]
+        buckets = partition_pairs(pairs, n_reducers)
+        for index, bucket in enumerate(buckets):
+            for key, _value in bucket:
+                assert stable_key_hash(key) % n_reducers == index, key
+        assert sum(len(b) for b in buckets) == len(pairs)
+
     @settings(max_examples=50, deadline=None)
     @given(
         keys=st.lists(st.text(max_size=6), max_size=50),

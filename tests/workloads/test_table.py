@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cos.object_store import CloudObjectStorage
+from repro.datasets.airbnb import CITIES
 from repro.workloads import table as tbl
+from repro.workloads.table import DAYS, _NIGHTS_RANGE, _PRICE_RANGE, _STARS_RANGE
 
 
 @pytest.fixture()
@@ -61,6 +65,57 @@ class TestRowLayout:
         assert len(full) == size
         start, end = sorted(w % (size + 1) for w in window)
         assert fn(start, end) == full[start:end]
+
+
+def reference_group_rows(
+    city: str, group: int, object_rows: int, rows_per_group: int
+) -> list[dict]:
+    """The ``randint``-based row generator the table's stream is pinned to."""
+    first = group * rows_per_group
+    last = min(object_rows, first + rows_per_group)
+    digest = hashlib.sha256(f"listings:{city}:{group}".encode()).digest()
+    rng = random.Random(digest)
+    rows = []
+    for rid in range(first, last):
+        rows.append(
+            {
+                "id": rid,
+                # date-ordered: monotone non-decreasing over the object
+                "day": rid * DAYS // max(1, object_rows),
+                "city": city,
+                "price": rng.randint(*_PRICE_RANGE),
+                "stars": rng.randint(*_STARS_RANGE),
+                "nights": rng.randint(*_NIGHTS_RANGE),
+            }
+        )
+    return rows
+
+
+class TestReferenceStream:
+    """Rows, and the bytes of every group, equal the ``randint`` stream."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        city=st.sampled_from(CITIES),
+        object_rows=st.integers(min_value=1, max_value=400),
+        rows_per_group=st.integers(min_value=1, max_value=96),
+        group_pick=st.integers(min_value=0),
+    )
+    @example(city="venice", object_rows=100, rows_per_group=1, group_pick=99)
+    @example(city="rome", object_rows=100, rows_per_group=64, group_pick=1)
+    @example(city="san-francisco", object_rows=1, rows_per_group=64, group_pick=0)
+    def test_group_matches_randint_reference(
+        self, city, object_rows, rows_per_group, group_pick
+    ):
+        n_groups = -(-object_rows // rows_per_group)
+        group = group_pick % n_groups
+        reference = reference_group_rows(city, group, object_rows, rows_per_group)
+        assert tbl.group_rows(city, group, object_rows, rows_per_group) == reference
+
+        fn = tbl.make_table_content_fn(city, object_rows, rows_per_group)
+        start = group * rows_per_group * tbl.ROW_BYTES
+        end = start + len(reference) * tbl.ROW_BYTES
+        assert fn(start, end) == b"".join(tbl.format_row(r) for r in reference)
 
 
 class TestLoadTable:
