@@ -368,6 +368,8 @@ def _cmd_exchange(args: Sequence[str]) -> int:
     """
     import argparse
 
+    from repro.config import ExchangeConfig
+
     parser = argparse.ArgumentParser(
         prog="python -m repro exchange",
         description="Inspect intermediate-data exchange backends: run a "
@@ -375,7 +377,7 @@ def _cmd_exchange(args: Sequence[str]) -> int:
         "counters and the COS-requests vs VM-seconds bill.",
     )
     parser.add_argument(
-        "--backend", default="vm", choices=["cos", "cached-cos", "vm"],
+        "--backend", default="vm", choices=ExchangeConfig.BACKENDS,
         help="exchange backend to exercise (default: vm)",
     )
     parser.add_argument("--seed", type=int, default=42, help="run seed")

@@ -18,7 +18,6 @@ _MARGIN = 48
 
 def concurrency_timeline(
     intervals: Iterable[tuple[float, float]],
-    resolution: float = 1.0,
     t0: Optional[float] = None,
 ) -> list[tuple[float, int]]:
     """Concurrent-execution counts over time from (start, end) intervals.
@@ -27,13 +26,11 @@ def concurrency_timeline(
     from activation records.  Sweeps the sorted start/end events directly —
     one output sample per time the level changes — so the cost scales with
     the number of intervals, not the horizon, and no float drift accumulates
-    the way fixed-step sampling does.  ``resolution`` is kept for API
-    compatibility and ignored.
+    the way fixed-step sampling does.
 
     Returns ``(t - origin, level)`` pairs: the level at the origin (``t0``
     or the earliest event), then one pair per subsequent change point.
     """
-    del resolution  # event sweep: sampling step no longer applies
     intervals = list(intervals)
     if not intervals:
         return []
@@ -60,63 +57,45 @@ def concurrency_timeline(
     return timeline
 
 
-def intervals_from_events(
-    events: Iterable,
-    executor_id: Optional[str] = None,
-    callset_id: Optional[str] = None,
-) -> list[tuple[float, float]]:
-    """(start, end) execution windows from a trace-event stream.
-
-    Thin delegate to :func:`repro.trace.derive.execution_intervals`, so
-    timeline figures can be driven directly from an exported trace.
-    """
-    from repro.trace import derive
-
-    return derive.execution_intervals(events, executor_id, callset_id)
-
-
-def render_execution_timeline(
-    intervals: Sequence[tuple[float, float]],
-    title: str = "Function executions",
-    resolution: float = 1.0,
-) -> str:
-    """Render execution intervals + concurrency curve as an SVG document."""
-    intervals = sorted(intervals)
-    safe_title = escape(str(title))
-    header = (
+def _svg_header(caption: str) -> str:
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
         f'<rect width="100%" height="100%" fill="#ffffff"/>'
         f'<text x="{_MARGIN}" y="24" font-size="15" '
-        f'font-family="sans-serif">{safe_title} ({len(intervals)} functions)</text>'
+        f'font-family="sans-serif">{caption}</text>'
     )
-    if not intervals:
-        return header + "</svg>"
 
+
+def _canvas(intervals: Sequence[tuple[float, float]]):
+    """Map times to x and row indices to y for a non-empty interval set.
+
+    Returns ``(t0, span, x, y_row)``; a zero-length span is drawn as 1 s.
+    """
     t0 = min(start for start, _ in intervals)
     t1 = max(end for _, end in intervals)
     span = (t1 - t0) or 1.0
     n = len(intervals)
 
-    def _x(t: float) -> float:
+    def x(t: float) -> float:
         return _MARGIN + (t - t0) / span * (_WIDTH - 2 * _MARGIN)
 
-    def _y_row(i: int) -> float:
+    def y_row(i: int) -> float:
         return _HEIGHT - _MARGIN - (i + 1) / n * (_HEIGHT - 2 * _MARGIN)
 
-    rows = [
-        f'<line x1="{_x(start):.1f}" y1="{_y_row(i):.1f}" '
-        f'x2="{_x(end):.1f}" y2="{_y_row(i):.1f}" '
-        f'stroke="#bbbbbb" stroke-width="1"/>'
-        for i, (start, end) in enumerate(intervals)
-    ]
+    return t0, span, x, y_row
 
-    timeline = concurrency_timeline(intervals, resolution=resolution, t0=t0)
+
+def _concurrency_overlay(
+    intervals: Sequence[tuple[float, float]], t0: float, span: float, x
+) -> str:
+    """The black total-concurrency step curve plus the time axis."""
+    timeline = concurrency_timeline(intervals, t0=t0)
     peak = max(level for _t, level in timeline) or 1
 
     def _xy(t: float, level: int) -> str:
         return (
-            f"{_x(t0 + t):.1f},"
+            f"{x(t0 + t):.1f},"
             f"{_HEIGHT - _MARGIN - level / peak * (_HEIGHT - 2 * _MARGIN):.1f}"
         )
 
@@ -142,7 +121,28 @@ def render_execution_timeline(
         f'<text x="{_WIDTH - _MARGIN - 120}" y="40" font-size="12" '
         f'font-family="sans-serif">peak concurrency: {peak}</text>'
     )
-    return header + "".join(rows) + curve + axis + "</svg>"
+    return curve + axis
+
+
+def render_execution_timeline(
+    intervals: Sequence[tuple[float, float]],
+    title: str = "Function executions",
+) -> str:
+    """Render execution intervals + concurrency curve as an SVG document."""
+    intervals = sorted(intervals)
+    header = _svg_header(f"{escape(str(title))} ({len(intervals)} functions)")
+    if not intervals:
+        return header + "</svg>"
+
+    t0, span, x, y_row = _canvas(intervals)
+    rows = [
+        f'<line x1="{x(start):.1f}" y1="{y_row(i):.1f}" '
+        f'x2="{x(end):.1f}" y2="{y_row(i):.1f}" '
+        f'stroke="#bbbbbb" stroke-width="1"/>'
+        for i, (start, end) in enumerate(intervals)
+    ]
+    overlay = _concurrency_overlay(intervals, t0, span, x)
+    return header + "".join(rows) + overlay + "</svg>"
 
 
 #: per-stage line colors for the DAG-grouped timeline, cycled in order
@@ -162,39 +162,24 @@ def render_staged_timeline(
     """
     groups = [(name, sorted(intervals)) for name, intervals in groups]
     all_intervals = [iv for _name, ivs in groups for iv in ivs]
-    safe_title = escape(str(title))
-    header = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-        f'<rect width="100%" height="100%" fill="#ffffff"/>'
-        f'<text x="{_MARGIN}" y="24" font-size="15" '
-        f'font-family="sans-serif">{safe_title} '
-        f"({len(all_intervals)} nodes, {len(groups)} stages)</text>"
+    header = _svg_header(
+        f"{escape(str(title))} "
+        f"({len(all_intervals)} nodes, {len(groups)} stages)"
     )
     if not all_intervals:
         return header + "</svg>"
 
-    t0 = min(start for start, _ in all_intervals)
-    t1 = max(end for _, end in all_intervals)
-    span = (t1 - t0) or 1.0
-    n = len(all_intervals)
-
-    def _x(t: float) -> float:
-        return _MARGIN + (t - t0) / span * (_WIDTH - 2 * _MARGIN)
-
-    def _y_row(i: int) -> float:
-        return _HEIGHT - _MARGIN - (i + 1) / n * (_HEIGHT - 2 * _MARGIN)
-
+    t0, span, x, y_row = _canvas(all_intervals)
     parts: list[str] = []
     row = 0
     for group_index, (name, intervals) in enumerate(groups):
         color = _STAGE_COLORS[group_index % len(_STAGE_COLORS)]
-        band_top = _y_row(row + len(intervals) - 1) if intervals else None
+        band_top = y_row(row + len(intervals) - 1) if intervals else None
         for start, end in intervals:
-            y = _y_row(row)
+            y = y_row(row)
             parts.append(
-                f'<line x1="{_x(start):.1f}" y1="{y:.1f}" '
-                f'x2="{_x(end):.1f}" y2="{y:.1f}" '
+                f'<line x1="{x(start):.1f}" y1="{y:.1f}" '
+                f'x2="{x(end):.1f}" y2="{y:.1f}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
             row += 1
@@ -204,38 +189,8 @@ def render_staged_timeline(
                 f'fill="{color}" font-family="sans-serif">'
                 f"{escape(str(name))}</text>"
             )
-
-    timeline = concurrency_timeline(all_intervals, t0=t0)
-    peak = max(level for _t, level in timeline) or 1
-
-    def _xy(t: float, level: int) -> str:
-        return (
-            f"{_x(t0 + t):.1f},"
-            f"{_HEIGHT - _MARGIN - level / peak * (_HEIGHT - 2 * _MARGIN):.1f}"
-        )
-
-    vertices: list[str] = []
-    prev_level: Optional[int] = None
-    for t, level in timeline:
-        if prev_level is not None:
-            vertices.append(_xy(t, prev_level))
-        vertices.append(_xy(t, level))
-        prev_level = level
-    curve = (
-        f'<polyline points="{" ".join(vertices)}" fill="none" stroke="#111111" '
-        f'stroke-width="2"/>'
-    )
-    axis = (
-        f'<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" '
-        f'y2="{_HEIGHT - _MARGIN}" stroke="#333333"/>'
-        f'<text x="{_MARGIN}" y="{_HEIGHT - 14}" font-size="12" '
-        f'font-family="sans-serif">0s</text>'
-        f'<text x="{_WIDTH - _MARGIN - 40}" y="{_HEIGHT - 14}" font-size="12" '
-        f'font-family="sans-serif">{span:.0f}s</text>'
-        f'<text x="{_WIDTH - _MARGIN - 120}" y="40" font-size="12" '
-        f'font-family="sans-serif">peak concurrency: {peak}</text>'
-    )
-    return header + "".join(parts) + curve + axis + "</svg>"
+    overlay = _concurrency_overlay(all_intervals, t0, span, x)
+    return header + "".join(parts) + overlay + "</svg>"
 
 
 def dag_stage_groups(events: Iterable) -> list[tuple[str, list[tuple[float, float]]]]:

@@ -13,7 +13,7 @@ import itertools
 import threading
 from typing import Any, Callable, Optional
 
-from repro.config import CacheConfig, PyWrenConfig
+from repro.config import PyWrenConfig
 from repro.core import context as ambient
 from repro.core import worker
 from repro.core.storage_client import InternalStorage
@@ -43,7 +43,6 @@ class CloudEnvironment:
         seed: int = 42,
         chaos=None,
         tracer: Optional[Tracer] = None,
-        cache: Optional[CacheConfig] = None,
         exchange=None,
     ) -> None:
         self.kernel = kernel
@@ -62,26 +61,24 @@ class CloudEnvironment:
         if chaos is not None:
             chaos.tracer = self.tracer
         #: the intermediate-data exchange backend (ARCHITECTURE.md
-        #: "Exchange backends").  The default — ``ExchangeConfig()`` with
-        #: no cache — is the direct COS path with zero new behaviour,
-        #: timings or trace events.
-        from repro.exchange import build_exchange
+        #: "Exchange backends").  The default — ``ExchangeConfig()`` — is
+        #: the direct COS path with zero new behaviour, timings or trace
+        #: events.
+        from repro.exchange import CachedCosExchange, build_exchange
 
-        cache_config = cache if cache is not None else config.cache
         exchange_config = exchange if exchange is not None else config.exchange
         self.exchange = build_exchange(
             exchange_config,
-            cache_config,
             len(platform.invokers),
             kernel=kernel,
             tracer=self.tracer,
             chaos=chaos,
         )
         platform.exchange = self.exchange
-        plane = getattr(self.exchange, "plane", None)
-        if plane is not None:
+        if isinstance(self.exchange, CachedCosExchange):
+            # cached intermediates live in container memory
             for node in platform.invokers:
-                node.cache_plane = plane
+                node.cache_plane = self.exchange
         self._link_seq = itertools.count(1)
         self._id_seq = itertools.count(1)
         self._deploy_lock = threading.Lock()
@@ -96,12 +93,6 @@ class CloudEnvironment:
         #: in-cloud message broker (push-monitoring transport)
         self.broker = MessageBroker(kernel)
 
-    @property
-    def cache(self):
-        """The cache plane when the exchange backend carries one, else
-        ``None`` (kept for PR 5 callers; the backend is ``env.exchange``)."""
-        return getattr(self.exchange, "plane", None)
-
     @classmethod
     def create(
         cls,
@@ -113,7 +104,6 @@ class CloudEnvironment:
         crash_prob: float = 0.0,
         chaos=None,
         trace: bool = False,
-        cache: Optional[CacheConfig] = None,
         exchange=None,
         events=None,
         tenants=None,
@@ -133,15 +123,10 @@ class CloudEnvironment:
         ``trace=True`` enables the trace spine: every layer emits spans
         onto ``env.tracer`` (see :mod:`repro.trace`).
 
-        ``cache`` attaches the memory-tier intermediate-data cache plane
-        (a :class:`~repro.config.CacheConfig` with ``enabled=True``); by
-        default ``config.cache`` decides, which is disabled.
-
         ``exchange`` selects the intermediate-data exchange backend: an
         :class:`~repro.config.ExchangeConfig` or a backend name (``"cos"``,
         ``"cached-cos"``, ``"vm"``).  By default ``config.exchange``
-        decides, which is the direct COS path (``cache=`` above is the
-        PR 5 spelling for the cached backend and still works).
+        decides, which is the direct COS path.
 
         ``events`` switches on the durable orchestration journal: an
         :class:`~repro.config.EventsConfig`, or ``True`` for the default
@@ -199,7 +184,6 @@ class CloudEnvironment:
             seed,
             chaos=plane,
             tracer=Tracer(kernel, enabled=bool(trace)),
-            cache=cache,
             exchange=exchange,
         )
 

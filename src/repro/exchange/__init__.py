@@ -11,7 +11,6 @@ ARCHITECTURE.md "Exchange backends"):
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Optional
 
 from repro.exchange.base import BoundExchange, ExchangeBackend
@@ -31,33 +30,19 @@ __all__ = [
 
 def build_exchange(
     exchange_config: Any,
-    cache_config: Any,
     n_nodes: int,
     kernel: Any = None,
     tracer: Any = None,
     chaos: Any = None,
 ) -> ExchangeBackend:
-    """Build the environment's backend from its config.
-
-    Back-compat: a ``CacheConfig(enabled=True)`` with the default
-    ``"cos"`` backend still selects the cached tier (the PR 5 opt-in
-    spelling, ``CloudEnvironment.create(cache=...)``); an explicit
-    ``ExchangeConfig(backend=...)`` wins.
-    """
+    """Build the environment's backend from its config."""
     backend = exchange_config.backend
-    if backend == "cos" and cache_config is not None and cache_config.enabled:
-        backend = "cached-cos"
     if backend == "cos":
         return CosExchange()
     if backend == "cached-cos":
-        cfg = cache_config
-        if cfg is None or not cfg.enabled:
-            from repro.config import CacheConfig
-
-            cfg = dataclasses.replace(
-                cfg if cfg is not None else CacheConfig(), enabled=True
-            )
-        return CachedCosExchange(cfg, n_nodes, kernel=kernel, tracer=tracer)
+        return CachedCosExchange(
+            exchange_config, n_nodes, kernel=kernel, tracer=tracer
+        )
     if backend == "vm":
         return VmExchange(
             exchange_config, kernel=kernel, tracer=tracer, chaos=chaos

@@ -11,8 +11,8 @@ backend, selected by :class:`~repro.config.ExchangeConfig`:
 
 * :class:`~repro.exchange.cos.CosExchange` — the paper's direct COS path
   (default; byte-identical to the pre-backend code),
-* :class:`~repro.exchange.cached.CachedCosExchange` — the PR 5
-  write-through memory tier, re-homed as a backend,
+* :class:`~repro.exchange.cached.CachedCosExchange` — a write-through
+  memory tier over the invoker nodes' caches,
 * :class:`~repro.exchange.vm.VmExchange` — an emulated ephemeral-store
   (Redis-like) cluster of provisioned VM nodes.
 
@@ -76,6 +76,10 @@ class ExchangeBackend:
     #: whether :meth:`locate` yields useful placement hints (lets the DAG
     #: scheduler skip per-dependency directory peeks on plain backends)
     provides_locality = False
+    #: trace layer of the backend's own events
+    trace_layer = "exchange"
+    #: optional :class:`repro.trace.Tracer` for tiers that emit events
+    tracer: Any = None
 
     # ------------------------------------------------------------------
     # Site resolution
@@ -178,6 +182,19 @@ class ExchangeBackend:
         VM-seconds here.
         """
         return {"vm_nodes": 0, "vm_seconds": 0.0}
+
+    # ------------------------------------------------------------------
+    # Trace emission (no-ops unless the environment traces)
+    # ------------------------------------------------------------------
+    def _trace_point(self, name: str, **attrs: Any) -> None:
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.point(name, self.trace_layer, **attrs)
+
+    def _trace_span(self, name: str, t0: float, t1: float, **attrs: Any) -> None:
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.span_at(name, self.trace_layer, t0, t1, **attrs)
 
 
 class BoundExchange:

@@ -37,9 +37,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
-from repro.cache.node_cache import NodeCache
-from repro.cache.ring import HashRing
 from repro.exchange.base import ExchangeBackend, Site
+from repro.exchange.node_cache import NodeCache
+from repro.exchange.ring import HashRing
 
 __all__ = ["VmExchange", "VmNode"]
 
@@ -306,19 +306,6 @@ class VmExchange(ExchangeBackend):
             ],
             **self.stats(),
         }
-
-    # ------------------------------------------------------------------
-    # Trace emission (no-ops unless the environment traces)
-    # ------------------------------------------------------------------
-    def _trace_point(self, name: str, **attrs: Any) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.point(name, "exchange", **attrs)
-
-    def _trace_span(self, name: str, t0: float, t1: float, **attrs: Any) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.span_at(name, "exchange", t0, t1, **attrs)
 
     def vm_seconds(self, now: float) -> float:
         """Provisioned VM-seconds up to virtual time ``now`` (nodes boot

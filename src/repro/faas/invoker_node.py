@@ -42,9 +42,10 @@ class InvokerNode:
         #: scheduled (start, end) windows during which this node accepts no
         #: placements (chaos-plane blackouts); empty by default
         self.blackouts: list[tuple[float, float]] = []
-        #: the :class:`~repro.cache.CachePlane`, or ``None`` when the cache
-        #: tier is disabled.  Cached intermediates live in container memory,
-        #: so reclaiming a container drops its entries from this node's cache.
+        #: the :class:`~repro.exchange.CachedCosExchange`, or ``None`` for
+        #: the other backends.  Cached intermediates live in container
+        #: memory, so reclaiming a container drops its entries from this
+        #: node's cache.
         self.cache_plane = None
         # (container_id, reason) pairs evicted under self._lock, reclaimed
         # from the cache plane once the lock is released (lock order:

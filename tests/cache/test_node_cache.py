@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import NodeCache
+from repro.exchange.node_cache import NodeCache
 
 
 class _Clock:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import HashRing
+from repro.exchange.ring import HashRing
 
 
 class TestConsistency:

@@ -61,6 +61,7 @@ class TestExchangeConfig:
             {"vm_startup_s": -0.5},
             {"vm_bandwidth_bps": 0},
             {"vm_ring_vnodes": 0},
+            {"cache_node_budget_bytes": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -79,6 +80,11 @@ class TestExchangeConfig:
     def test_from_dict_unknown_exchange_key_rejected(self):
         with pytest.raises(ValueError, match="exchange"):
             PyWrenConfig.from_dict({"exchange": {"nodez": 3}})
+
+    def test_retired_cache_section_rejected(self):
+        # the cached tier is selected by ExchangeConfig(backend="cached-cos")
+        with pytest.raises(ValueError, match="unknown config keys"):
+            PyWrenConfig.from_dict({"cache": {"enabled": True}})
 
     def test_roundtrips_through_dict(self):
         config = PyWrenConfig(exchange=ExchangeConfig(backend="cached-cos"))

@@ -1,4 +1,4 @@
-"""The frozen workload behind the pre-refactor golden exchange trace.
+"""The frozen workload behind the golden exchange traces.
 
 The exchange-backend refactor (ROADMAP item 4) rewired every intermediate
 read/write in ``InternalStorage`` through an :class:`~repro.exchange.base.
@@ -9,8 +9,18 @@ pre-refactor code.  This module pins that bar:
 * ``golden_trace_default_exchange.jsonl`` was generated *before* the
   refactor landed, from the then-current COS-only intermediate path, by
   ``run_traced()`` below (see ``write_golden``).
+* ``golden_trace_cached_exchange.jsonl`` is the same workload on the
+  ``"cached-cos"`` backend, exported by the code that still kept the
+  memory tier in its own ``repro.cache`` package with a separate
+  ``CacheConfig``; it pins the fold of that tier into
+  :class:`~repro.exchange.cached.CachedCosExchange`.
 * ``test_golden_regression.py`` re-runs the identical workload on every
-  test run and asserts the export still matches the committed bytes.
+  test run and asserts each export still matches the committed bytes.
+
+Both fixtures depend on the checkout path: by-value code objects are
+marshalled with their absolute ``co_filename``, and payload bytes feed the
+bandwidth model, so trace ``bytes`` and durations differ when the tests
+run from a checkout at another path (ROADMAP item 1).
 
 The workload is a traced ``map_reduce_shuffle`` wordcount — it exercises
 shuffle-partition writes/reads and result blobs (the two intermediate
@@ -23,6 +33,8 @@ documented behaviour change) with::
 
     PYTHONPATH=src:. python -c \
         "from tests.exchange.golden_workload import write_golden; write_golden()"
+
+(``write_golden("cached-cos")`` for the cached fixture).
 """
 
 from __future__ import annotations
@@ -32,9 +44,15 @@ import os
 SEED = 123
 N_DOCS = 10
 N_REDUCERS = 3
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(__file__), "golden_trace_default_exchange.jsonl"
-)
+#: committed golden trace per exchange backend
+GOLDEN_PATHS = {
+    "cos": os.path.join(
+        os.path.dirname(__file__), "golden_trace_default_exchange.jsonl"
+    ),
+    "cached-cos": os.path.join(
+        os.path.dirname(__file__), "golden_trace_cached_exchange.jsonl"
+    ),
+}
 
 
 def word_pairs(text):
@@ -62,8 +80,10 @@ def expected_counts() -> dict[str, int]:
     return counts
 
 
-def run_traced() -> str:
-    """One traced same-seed wordcount on the *default* environment.
+def run_traced(exchange: str = "cos") -> str:
+    """One traced same-seed wordcount on the given exchange backend.
+
+    ``"cos"`` is the default environment (``ExchangeConfig()``).
 
     Returns the exported trace JSONL with the executor id normalized to
     ``EXEC`` (the id embeds a per-process serial; everything else in the
@@ -73,7 +93,7 @@ def run_traced() -> str:
     from repro.core.environment import CloudEnvironment
     from repro.core.shuffle import merge_shuffle_results
 
-    env = CloudEnvironment.create(seed=SEED, trace=True)
+    env = CloudEnvironment.create(seed=SEED, trace=True, exchange=exchange)
 
     def main():
         executor = pw.ibm_cf_executor()
@@ -88,10 +108,11 @@ def run_traced() -> str:
     return jsonl.replace(executor_id, "EXEC")
 
 
-def write_golden() -> str:
-    """(Re)generate the committed golden trace.  Intentional changes only."""
-    jsonl = run_traced()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+def write_golden(exchange: str = "cos") -> str:
+    """(Re)generate a committed golden trace.  Intentional changes only."""
+    path = GOLDEN_PATHS[exchange]
+    jsonl = run_traced(exchange)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(jsonl)
-    print(f"wrote {GOLDEN_PATH} ({len(jsonl.splitlines())} events)")
-    return GOLDEN_PATH
+    print(f"wrote {path} ({len(jsonl.splitlines())} events)")
+    return path

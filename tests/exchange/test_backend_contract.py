@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro.chaos import ChaosProfile, build_plane
-from repro.config import CacheConfig, ExchangeConfig
+from repro.config import ExchangeConfig
 from repro.cos import CloudObjectStorage, COSClient
 from repro.cos.errors import NoSuchKey
 from repro.exchange import CachedCosExchange, CosExchange, VmExchange
@@ -48,7 +48,9 @@ def make_backend(name: str, kernel, chaos=None, vm_cfg: ExchangeConfig = VM_CFG)
         return CosExchange()
     if name == "cached-cos":
         return CachedCosExchange(
-            CacheConfig(enabled=True, node_budget_bytes=64 * 1024),
+            ExchangeConfig(
+                backend="cached-cos", cache_node_budget_bytes=64 * 1024
+            ),
             n_nodes=4,
             kernel=kernel,
         )

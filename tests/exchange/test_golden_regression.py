@@ -1,25 +1,33 @@
-"""The tentpole regression gate: the default exchange is byte-identical.
+"""The tentpole regression gate: exchange traces are byte-identical.
 
 ``golden_trace_default_exchange.jsonl`` was exported by the pre-refactor
 code (COS-only intermediates, no backend seam) from the frozen workload
 in :mod:`tests.exchange.golden_workload`.  With ``ExchangeConfig`` unset
 the refactored stack must reproduce it byte for byte — same events, same
 timestamps, same ordering, same JSON serialization.
+
+``golden_trace_cached_exchange.jsonl`` pins the ``"cached-cos"`` backend
+the same way: it was exported before the memory tier moved from its own
+``repro.cache`` package into :mod:`repro.exchange`, and the merged
+backend must still reproduce it.
 """
 
 from __future__ import annotations
 
 import pathlib
 
-from tests.exchange.golden_workload import GOLDEN_PATH, run_traced
+import pytest
 
-GOLDEN = pathlib.Path(__file__).parent / GOLDEN_PATH
+from tests.exchange.golden_workload import GOLDEN_PATHS, run_traced
+
+BACKENDS = ["cos", "cached-cos"]
 
 
-class TestGoldenDefaultExchange:
-    def test_default_exchange_trace_matches_pre_refactor_golden(self):
-        got = run_traced()
-        want = GOLDEN.read_text(encoding="utf-8")
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestGolden:
+    def test_trace_matches_golden(self, backend):
+        got = run_traced(backend)
+        want = pathlib.Path(GOLDEN_PATHS[backend]).read_text(encoding="utf-8")
         assert want, "golden fixture missing or empty"
         # compare prefixes first for a readable diff on regression
         if got != want:
@@ -27,5 +35,5 @@ class TestGoldenDefaultExchange:
                 assert a == b, f"first divergence at trace line {i + 1}"
         assert got == want
 
-    def test_golden_run_is_self_deterministic(self):
-        assert run_traced() == run_traced()
+    def test_run_is_self_deterministic(self, backend):
+        assert run_traced(backend) == run_traced(backend)
